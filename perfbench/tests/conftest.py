@@ -1,0 +1,11 @@
+"""Put the checkout root (for ``perfbench``) and ``src`` (for ``repro``)
+on the import path, so ``python -m pytest perfbench/tests`` runs from the
+root of a checkout without installing anything."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
