@@ -169,8 +169,8 @@ class CellPopulation:
         Retention times depend only on the population and the temperature —
         never on the disturb condition — so they are computed once per
         temperature and memoized.  Callers must treat the returned arrays as
-        read-only (`disturb_outcome` composes them with ``np.where``, which
-        copies).
+        read-only (`disturb_outcome` copies them before marking discharged
+        cells).
         """
         key = float(temperature_c)
         if key not in self._retention_cache:

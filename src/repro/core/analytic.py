@@ -184,38 +184,67 @@ class OutcomeSummary:
 
 
 def _merged_row_intervals(
-    row_index: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    row_index: np.ndarray, starts: np.ndarray, ends: np.ndarray, horizon: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge each row's half-open cell intervals into disjoint unions.
 
-    Returns the (unsorted) concatenated start/end endpoints of the merged
-    intervals across all rows.
+    Takes the cells in row-major order (``row_index`` non-decreasing), each
+    with ``start <= horizon`` and ``start < end``.  Returns the (unsorted)
+    starts of the merged intervals and those of their ends that are
+    ``<= horizon``, from whole-array passes:
+
+    * A row's cells that start at or after its earliest start among the
+      cells ending past ``horizon`` lie inside that cell's interval up to
+      ``horizon``: they neither begin a merged interval nor end one within
+      it, so they are dropped first.
+    * Two sorts order the rest by (row, start); one running max over end
+      ranks lifted by ``row`` gives each row's running end; a merged
+      interval begins wherever a cell starts after it.
+
+    Equal starts may come out of the sort in any order: a cell's start is
+    below its own end, so among cells with equal starts only the first can
+    begin a merged interval, and the unions do not depend on which cell
+    that is.
     """
     if row_index.size == 0:
         empty = np.empty(0, dtype=np.float64)
         return empty, empty
-    order = np.lexsort((starts, row_index))
-    row_index = row_index[order]
-    starts = starts[order]
-    ends = ends[order]
-    out_starts: list[np.ndarray] = []
-    out_ends: list[np.ndarray] = []
-    boundaries = np.nonzero(np.diff(row_index))[0] + 1
-    for lo, hi in zip(
-        np.concatenate(([0], boundaries)),
-        np.concatenate((boundaries, [row_index.size])),
-    ):
-        group_starts = starts[lo:hi]
-        running_end = np.maximum.accumulate(ends[lo:hi])
-        # A merged interval begins wherever a cell interval starts after
-        # every earlier interval of the row has already ended.
-        new = np.empty(hi - lo, dtype=bool)
-        new[0] = True
-        new[1:] = group_starts[1:] > running_end[:-1]
-        first = np.nonzero(new)[0]
-        out_starts.append(group_starts[first])
-        out_ends.append(running_end[np.append(first[1:] - 1, hi - lo - 1)])
-    return np.concatenate(out_starts), np.concatenate(out_ends)
+    # ``reach``: each row's earliest start among cells ending past horizon.
+    first = np.flatnonzero(np.diff(row_index, prepend=-1))
+    reach = np.minimum.reduceat(np.where(ends > horizon, starts, np.inf), first)
+    kept = np.flatnonzero(
+        starts <= np.repeat(reach, np.diff(first, append=row_index.size))
+    )
+    row_index = row_index.take(kept)
+    starts = starts.take(kept)
+    ends = ends.take(kept)
+    # Keys ``row << shift | position in start order`` sort by row, then
+    # by start; the low bits give the position back.
+    cells = row_index.size
+    shift = cells.bit_length()
+    position = (1 << shift) - 1
+    lifted = row_index << shift
+    by_start = np.argsort(starts)
+    order = by_start[np.sort(lifted.take(by_start) | np.arange(cells)) & position]
+    lifted = lifted.take(order)
+    starts = starts.take(order)
+    ends = ends.take(order)
+    # Running end within each row: a row's lifted end ranks exceed every
+    # earlier row's, so one running max restarts at each row.
+    by_end = np.argsort(ends)
+    rank = np.empty(cells, dtype=lifted.dtype)
+    rank[by_end] = np.arange(cells)
+    running_end = ends.take(
+        by_end.take(np.maximum.accumulate(lifted | rank) & position)
+    )
+    # A merged interval begins at a row's first cell and wherever a cell
+    # starts after every earlier interval of the row has ended.
+    new = np.empty(cells, dtype=bool)
+    new[0] = True
+    new[1:] = (lifted[1:] != lifted[:-1]) | (starts[1:] > running_end[:-1])
+    begins = np.flatnonzero(new)
+    row_ends = running_end.take(np.append(begins[1:] - 1, cells - 1))
+    return starts.take(begins), row_ends[row_ends <= horizon]
 
 
 @dataclass
@@ -248,9 +277,16 @@ class SubarrayOutcome:
     def summarize(self, horizon: float = DEFAULT_SUMMARY_HORIZON) -> OutcomeSummary:
         """Build (and memoize) the sorted-event summary of this outcome.
 
-        One O(cells) pass extracts the weak cells and one O(weak log weak)
-        sort orders their flip times; every interval metric afterwards is a
-        binary search.  Counts are bit-identical to the per-interval mask
+        A few O(cells) passes pick out the weak cells by flat index: those
+        that can flip, or fail retention, within ``horizon``.  Every later
+        pass runs on the weak cells alone: one sort per event list and the
+        row merge of `_merged_row_intervals` (sorts and one running max, no
+        per-row loop).  Every interval metric afterwards is a binary search.
+
+        For any ``horizon`` the summary is byte-identical (same arrays,
+        dtypes and order) to the per-row loop merge it replaced, however
+        the weak cells' times tie; `tests/test_summary_parity.py` keeps that
+        loop as its oracle.  Counts equal the per-interval mask
         implementations for any interval ``<= horizon``.
         """
         if self._summary is None or self._summary.horizon < horizon:
@@ -258,18 +294,22 @@ class SubarrayOutcome:
         return self._summary
 
     def _build_summary(self, horizon: float) -> OutcomeSummary:
-        starts = self.cd_times
-        ends = self.retention_worst
+        starts = self.cd_times.ravel()
+        ends = self.retention_worst.ravel()
         # A cell whose retention-worst time precedes its ColumnDisturb time
         # is filtered out at every interval; drop it from the event lists.
-        eligible = (starts <= horizon) & (starts < ends)
-        row_index, _ = np.nonzero(eligible)
-        cell_starts = starts[eligible]
-        cell_ends = ends[eligible]
+        index = np.flatnonzero(starts <= horizon)
+        cell_starts = starts.take(index)
+        cell_ends = ends.take(index)
+        eligible = np.flatnonzero(cell_starts < cell_ends)
+        index = index.take(eligible)
+        cell_starts = cell_starts.take(eligible)
+        cell_ends = cell_ends.take(eligible)
         row_starts, row_ends = _merged_row_intervals(
-            row_index, cell_starts, cell_ends
+            index // self.cd_times.shape[1], cell_starts, cell_ends, horizon
         )
         nominal = self.retention_nominal
+        flat_nominal = nominal.ravel()
         row_first_retention = (
             nominal.min(axis=1) if nominal.size else np.empty(0)
         )
@@ -281,8 +321,10 @@ class SubarrayOutcome:
             cd_cell_starts=np.sort(cell_starts),
             cd_cell_ends=np.sort(cell_ends[cell_ends <= horizon]),
             cd_row_starts=np.sort(row_starts),
-            cd_row_ends=np.sort(row_ends[row_ends <= horizon]),
-            ret_cell_times=np.sort(nominal[nominal <= horizon], axis=None),
+            cd_row_ends=np.sort(row_ends),
+            ret_cell_times=np.sort(
+                flat_nominal.take(np.flatnonzero(flat_nominal <= horizon))
+            ),
             ret_row_times=np.sort(
                 row_first_retention[row_first_retention <= horizon]
             ),
@@ -301,8 +343,13 @@ class SubarrayOutcome:
         excluded, as in the paper's filtering methodology."""
         if self._summary is not None:
             return self._summary.time_to_first
-        eligible = self.retention_worst > SEARCH_INTERVAL
-        times = np.where(eligible, self.cd_times, np.inf)
+        # Only cells flipping within the window can set the metric.  Taking
+        # them as "not > window" also keeps NaN times, which the min over
+        # every eligible cell propagates.
+        times = self.cd_times.ravel()
+        index = np.flatnonzero(~(times > SEARCH_INTERVAL))
+        eligible = self.retention_worst.ravel().take(index) > SEARCH_INTERVAL
+        times = times.take(index[eligible])
         first = float(times.min()) if times.size else float("inf")
         return first if first <= SEARCH_INTERVAL else float("inf")
 
@@ -405,8 +452,11 @@ def disturb_outcome(
     )
     cd_times = times_to_flip(cd_rates)
     # Discharged victim cells cannot flip (ColumnDisturb is 1 -> 0 only).
+    # The three per-cell arrays are fresh copies, so one set of flat
+    # indices marks the discharged cells in each.
     charged = (victim_bits == 1)[np.newaxis, :] ^ population.anti_mask
-    cd_times = np.where(charged, cd_times, np.inf)
+    discharged = np.flatnonzero(~charged)
+    np.put(cd_times, discharged, np.inf)
 
     included_rows = np.ones(population.rows, dtype=bool)
     if role is SubarrayRole.AGGRESSOR:
@@ -415,14 +465,13 @@ def disturb_outcome(
         lo = max(0, aggressor_local_row - guardband)
         hi = min(population.rows, aggressor_local_row + guardband + 1)
         included_rows[lo:hi] = False
-        cd_times = cd_times.copy()
         cd_times[lo:hi, :] = np.inf
 
-    retention_nominal, retention_worst = population.retention_time_arrays(
-        temperature
-    )
-    retention_nominal = np.where(charged, retention_nominal, np.inf)
-    retention_worst = np.where(charged, retention_worst, np.inf)
+    nominal, worst = population.retention_time_arrays(temperature)
+    retention_nominal = nominal.copy()
+    retention_worst = worst.copy()
+    np.put(retention_nominal, discharged, np.inf)
+    np.put(retention_worst, discharged, np.inf)
 
     return SubarrayOutcome(
         cd_times=cd_times,
