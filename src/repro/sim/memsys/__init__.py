@@ -10,8 +10,9 @@ Public surface:
 * `SnapshotStore` — digest-stamped atomic snapshot files;
 * `SystemCounters` — per-channel/per-rank bandwidth accounting (the
   single source the obs gauges and the energy model compute from);
-* `TimingChecker` / `Command` / `TimingViolation` — command-stream
-  constraint checking.
+* `TimingChecker` / `Command` / `CommandLog` / `TimingViolation` —
+  command-stream constraint checking (`CommandLog` is the int-coded
+  stream `MemorySystem` records).
 
 See docs/MEMSYS.md for the model, counter catalog, and snapshot format.
 """
@@ -26,6 +27,7 @@ from repro.sim.memsys.snapshot import SnapshotStore, state_digest
 from repro.sim.memsys.system import MemorySystem
 from repro.sim.memsys.timingcheck import (
     Command,
+    CommandLog,
     TimingChecker,
     TimingViolation,
     TimingViolationError,
@@ -46,6 +48,7 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "ChannelCounters",
     "Command",
+    "CommandLog",
     "MemorySystem",
     "MemsysSimulation",
     "MemsysTopology",

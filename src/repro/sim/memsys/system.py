@@ -34,12 +34,13 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.sim.controller import ControllerStats, MemoryRequest
 from repro.sim.memsys.counters import SystemCounters
-from repro.sim.memsys.timingcheck import Command, TimingChecker
+from repro.sim.memsys.timingcheck import KIND_CODES, CommandLog, TimingChecker
 from repro.sim.memsys.topology import SINGLE_CHANNEL, MemsysTopology
 from repro.sim.refreshpolicy import NoRefresh, RefreshPolicy
 from repro.sim.timing import MEMSYS_DDR4_3200, MemsysTiming
 
 _FAR_PAST = -(10**9)
+_PRE, _ACT, _RD = KIND_CODES["PRE"], KIND_CODES["ACT"], KIND_CODES["RD"]
 
 # Same family/labels as the single-channel controller registers: the
 # registry returns the existing family, so both models feed one series.
@@ -159,7 +160,7 @@ class MemorySystem:
         self.rank_state = [[_RankState() for _ in range(ranks)] for _ in range(channels)]
         self.stats = ControllerStats()
         self.counters = SystemCounters(channel_count=channels, rank_count=ranks)
-        self.commands: list[Command] = []
+        self.commands = CommandLog()
 
     @property
     def bank_count(self) -> int:
@@ -355,12 +356,12 @@ class MemorySystem:
                 bank.ready_for_pre = max(bank.ready_for_pre, column + timing.t_rtp)
             self.last_column_at[channel] = column
         if self.check_timing:
-            locate = (channel, rank, bank_index)
+            commands = self.commands
             if pre is not None:
-                self.commands.append(Command("PRE", *locate, pre))
+                commands.append(_PRE, channel, rank, bank_index, pre)
             if act is not None:
-                self.commands.append(Command("ACT", *locate, act))
-            self.commands.append(Command("RD", *locate, column))
+                commands.append(_ACT, channel, rank, bank_index, act)
+            commands.append(_RD, channel, rank, bank_index, column)
 
     def run_checker(self, strict: bool = False) -> TimingChecker:
         """Check the synthesized command stream collected so far."""
@@ -415,7 +416,7 @@ class MemorySystem:
                 "row_closed": self.stats.row_closed,
             },
             "counters": self.counters.to_json(),
-            "commands": [command.to_json() for command in self.commands],
+            "commands": self.commands.to_json(),
         }
 
     def load_state(self, state: dict) -> None:
@@ -447,4 +448,4 @@ class MemorySystem:
             row_closed=int(stats["row_closed"]),
         )
         self.counters = SystemCounters.from_json(state["counters"])
-        self.commands = [Command.from_json(c) for c in state["commands"]]
+        self.commands = CommandLog.from_json(state["commands"])

@@ -25,7 +25,7 @@ from repro.sim.memsys import (
     state_digest,
 )
 from repro.sim.mechanism import NoMechanism
-from repro.sim.refreshpolicy import NoRefresh, PeriodicRefresh, smd_raidr_policy
+from repro.sim.refreshpolicy import PeriodicRefresh, smd_raidr_policy
 from repro.sim.timing import DDR4_3200
 from repro.workloads.trace import WorkloadTrace
 
@@ -84,6 +84,33 @@ def test_run_with_store_then_resume_from_latest(tmp_path):
 
     resumed = _simulation()
     resumed.restore(state)
+    assert _result_bytes(resumed) == reference
+
+
+#: `state_digest` of a checked, enforced 2x2 run snapshotted after 150
+#: events.  The snapshot carries the command history as a list of
+#: ``{"kind", "channel", "rank", "bank", "cycle"}`` dicts; a change to how
+#: that history is stored must leave these bytes alone or bump
+#: `SNAPSHOT_VERSION`.
+CHECKED_2X2_DIGEST = "6bfb8b5c2a63f3760da985f174b26ae4338c2a9fc8502fed03afe4b5e307ccf4"
+
+
+def test_checked_enforced_snapshot_bytes_are_pinned():
+    flags = {"check_timing": True, "enforce_timing": True}
+    topology = MemsysTopology(channels=2, ranks=2)
+    reference = _result_bytes(_simulation(topology=topology, **flags))
+
+    interrupted = _simulation(topology=topology, **flags)
+    interrupted.prime()
+    for _ in range(150):
+        interrupted.step()
+    state = interrupted.snapshot()
+    assert len(state["system"]["commands"]) > 0
+    assert state_digest(state) == CHECKED_2X2_DIGEST
+
+    resumed = _simulation(topology=topology, **flags)
+    resumed.restore(json.loads(json.dumps(state)))
+    assert state_digest(resumed.snapshot()) == CHECKED_2X2_DIGEST
     assert _result_bytes(resumed) == reference
 
 

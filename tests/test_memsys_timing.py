@@ -199,22 +199,35 @@ def test_violation_record_shape():
     assert as_json["reference"]["kind"] == "PRE"
 
 
+def _published_violations() -> dict[tuple[str, str], float]:
+    for family in obs.snapshot()["metrics"]:
+        if family["name"] == "sim_timing_violations_total":
+            return {
+                (s["labels"]["constraint"], s["labels"]["channel"]): s["value"]
+                for s in family["samples"]
+            }
+    pytest.fail("sim_timing_violations_total not published")
+
+
 def test_record_publishes_labelled_obs_counter():
     obs.enable()
     violations = TimingChecker(T).check(
         [_cmd("PRE", 0), _cmd("ACT", 1), _cmd("RD", 2, bank=1, channel=1)]
     )
     record_violations(violations)
-    for family in obs.snapshot()["metrics"]:
-        if family["name"] == "sim_timing_violations_total":
-            labelled = {
-                (s["labels"]["constraint"], s["labels"]["channel"]): s["value"]
-                for s in family["samples"]
-            }
-            break
-    else:
-        pytest.fail("sim_timing_violations_total not published")
-    assert labelled[("tRP", "0")] == 1.0
+    assert _published_violations()[("tRP", "0")] == 1.0
+
+
+def test_record_publishes_each_violation_once():
+    """check -> record -> check -> record counts each violation once, not
+    the first check's violations twice."""
+    obs.enable()
+    checker = TimingChecker(T)
+    for _ in range(2):
+        checker.check([_cmd("PRE", 0), _cmd("ACT", 1)])
+        checker.record()
+    assert len(checker.violations) == 2
+    assert _published_violations()[("tRP", "0")] == 2.0
 
 
 def test_unknown_command_kind_rejected():
