@@ -766,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     character.add_argument("--columns", type=int, default=512)
     character.add_argument(
         "--workers", type=int, default=0,
-        help="worker processes for the parallel engine (0 = serial)",
+        help="worker threads for the parallel engine (0 = serial)",
     )
     character.add_argument(
         "--cache", default=None, metavar="DIR",
@@ -784,7 +784,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     character.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-unit wall-clock limit (parallel workers only)",
+        help="per-unit wait deadline (thread pool only): a late unit is "
+             "charged an attempt and retried or failed; its thread is not "
+             "preempted",
     )
     character.add_argument(
         "--failure-policy", choices=("raise", "skip-with-record"),
@@ -828,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=0,
-        help="engine worker processes per submission (0 = in-process)",
+        help="engine worker threads per submission (0 = in-process)",
     )
     serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",

@@ -56,11 +56,6 @@ from repro.core.engine import (
     record_from_summary,
     resolve_executor,
 )
-from repro.core.shm import (
-    SegmentRef,
-    SharedPopulationStore,
-    sweep_leaked_segments,
-)
 from repro.core.remap import find_physical_neighbours, recover_physical_order
 from repro.core.retention_profiler import profile_retention, retention_failure_mask
 from repro.core.risk import (
@@ -100,9 +95,6 @@ __all__ = [
     "plan_units",
     "record_from_summary",
     "resolve_executor",
-    "SegmentRef",
-    "SharedPopulationStore",
-    "sweep_leaked_segments",
     "FailurePolicy",
     "UnitExecutionError",
     "RunTrace",

@@ -153,10 +153,10 @@ class Campaign:
     robustness/telemetry knobs (``retries``, ``timeout``,
     ``failure_policy``, ``trace``); the defaults keep the serial
     in-process path.  ``executor`` selects the engine's pool backend
-    (``threads`` / ``processes`` / ``serial``; ``None`` defers to
-    ``REPRO_EXECUTOR`` then the engine default).  Either way the records
-    are bit-identical — the engine re-derives the same deterministic
-    populations and computes the same metrics.
+    (``threads`` / ``serial``; ``None`` defers to ``REPRO_EXECUTOR`` then
+    the engine default).  Either way the records are bit-identical — the
+    engine re-derives the same deterministic populations and computes the
+    same metrics.
 
     ``kernel`` selects the bank hot-path execution kernel
     (`repro.chip.kernels`) for any `SimulatedModule` the campaign

@@ -75,12 +75,12 @@ class UnitTrace:
         wall_s: wall-clock seconds spent obtaining the summary — worker
             execution time for computed units, lookup time for cache hits.
         attempts: execution attempts made (0 for cache hits).
-        worker: pid of the process that produced the summary (``None``
-            for skipped units; the campaign's own pid under the thread
-            and serial executors).
+        worker: pid of the process that produced the summary — the
+            campaign's own under both executors (``None`` for skipped
+            units).
         error: last failure message, for skipped (and retried) units.
         executor: executor backend that computed the unit (``threads`` /
-            ``processes`` / ``serial``); ``None`` for cache hits and for
+            ``serial``); ``None`` for cache hits and for
             traces recorded before the field existed.
     """
 

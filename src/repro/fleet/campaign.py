@@ -123,7 +123,7 @@ class FleetCampaign:
         checkpoint_dir: optional checkpoint directory; None disables
             checkpointing (and resumption).
         checkpoint_every: instances between checkpoints.
-        workers: thread-pool width; 0 characterizes inline.
+        workers: thread-pool width; 0 or 1 characterizes inline.
         chunk: instances per scheduling chunk.
         stop_event: cooperative stop flag — when set, the campaign
             checkpoints and returns an interrupted result.
@@ -242,7 +242,7 @@ class FleetCampaign:
             ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="fleet-worker"
             )
-            if self.workers > 0
+            if self.workers > 1
             else None
         )
         with obs.span(

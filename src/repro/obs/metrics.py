@@ -11,8 +11,7 @@ Design goals, in order:
 3. **Mergeable across processes.**  :meth:`MetricsRegistry.snapshot`
    produces a plain-dict image of every series; ``merge_snapshot`` folds a
    child process's image into the parent registry (counters and histograms
-   add; gauges take the incoming observation).  The characterization
-   engine ships one such snapshot back with every work-unit result.
+   add; gauges take the incoming observation).
 
 Metric families follow the Prometheus data model: a family has a name, a
 help string, a type, and label names; ``family.labels(kind="ACT")`` returns

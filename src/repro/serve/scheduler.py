@@ -30,7 +30,7 @@ order to every submitted request:
 
 Execution happens on a single worker thread (``run_in_executor``), which
 serializes engine submissions — the engine itself fans out to worker
-processes when ``workers > 1``, and a single submission lane keeps the
+threads when ``workers > 1``, and a single submission lane keeps the
 `OutcomeCache` and `ModulePool` free of cross-thread races.
 """
 
@@ -103,15 +103,14 @@ class RequestScheduler:
     """Coalescing micro-batch scheduler over the characterization engine.
 
     Args:
-        workers: engine worker processes per submission (0 = in-process).
+        workers: engine worker threads per submission (0 = in-process).
         cache: shared `OutcomeCache`; created in-memory when ``None``.
         max_queue: admission bound on primary (non-coalesced) requests.
         batch_window_s: how long a bucket collects before executing.
         max_batch: a bucket reaching this size executes immediately.
         kernel: bank kernel name for risk-path simulated modules.
-        executor: engine pool backend (``threads`` / ``processes`` /
-            ``serial``; ``None`` defers to ``REPRO_EXECUTOR`` then the
-            engine default).
+        executor: engine pool backend (``threads`` / ``serial``; ``None``
+            defers to ``REPRO_EXECUTOR`` then the engine default).
     """
 
     def __init__(

@@ -2,10 +2,10 @@
 
 Faults are injected deterministically through ``REPRO_ENGINE_FAULT``
 (`repro.core.engine.FAULT_ENV`): a JSON spec selects a victim subarray, a
-fault mode (``poison`` = worker raises, ``crash`` = worker process dies,
-``hang`` = worker sleeps past any timeout), and how many attempts fault
-before the unit starts succeeding (claimed atomically via marker files, so
-the budget is shared across worker processes).
+fault mode (``poison`` = the unit raises, ``hang`` = the unit sleeps past
+the timeout), and how many attempts fault before the unit starts
+succeeding (claimed atomically via marker files, so the budget is shared
+across worker threads).
 
 The invariants under test: a campaign never leaves a *silent* hole — a
 failed unit is either retried to success, reported via
@@ -15,6 +15,7 @@ the serial, fault-free path.
 """
 
 import json
+import time
 from functools import lru_cache
 
 import pytest
@@ -65,18 +66,12 @@ def inject(monkeypatch, tmp_path):
 
 
 def run(**knobs):
-    # serial_fallback=False + executor="processes": these tests exercise
-    # process-pool mechanics (worker death, respawn, timeouts) and must
-    # use a real process pool even on 1-CPU CI — the default thread
-    # backend cannot lose a worker without losing this test process.
-    # Context-managed so the engine's shared-memory segments unlink here
-    # instead of lingering (same-pid leftovers would shadow later
-    # publishes in this test process).
-    with CharacterizationEngine(
-        scale=QUICK_SCALE, serial_fallback=False, executor="processes",
-        **knobs
-    ) as engine:
-        return engine.characterize_module("S0", WORST_CASE, INTERVALS)
+    # serial_fallback=False: with workers > 1 these tests exercise the
+    # thread pool (retries, timeouts) even on a 1-CPU host.
+    engine = CharacterizationEngine(
+        scale=QUICK_SCALE, serial_fallback=False, executor="threads", **knobs
+    )
+    return engine.characterize_module("S0", WORST_CASE, INTERVALS)
 
 
 # ---------------------------------------------------------------------------
@@ -122,44 +117,23 @@ def test_poison_skip_policy_leaves_explicit_hole(inject, workers):
 
 
 # ---------------------------------------------------------------------------
-# Killed workers (BrokenProcessPool)
-# ---------------------------------------------------------------------------
-
-def test_worker_crash_recovered_by_pool_respawn(inject):
-    """One worker death costs one pool respawn, not the campaign."""
-    inject("crash", times=1)
-    assert run(workers=2, retries=0) == list(baseline())
-
-
-def test_persistent_crasher_degrades_to_serial_and_skips(inject):
-    """Two pool failures degrade to in-process execution; the crashing
-    unit is skipped under the policy, everything else completes."""
-    inject("crash", times=99)
-    records = run(
-        workers=2, retries=0, failure_policy="skip-with-record"
-    )
-    assert records[VICTIM].status == "skipped"
-    for i, record in enumerate(records):
-        if i != VICTIM:
-            assert record == baseline()[i]
-
-
-def test_persistent_crasher_raise_policy_aborts(inject):
-    inject("crash", times=99)
-    with pytest.raises(UnitExecutionError):
-        run(workers=2, retries=0, failure_policy="raise")
-
-
-# ---------------------------------------------------------------------------
 # Hung workers (per-unit timeout)
 # ---------------------------------------------------------------------------
 
+#: Long enough to miss the 1.5 s timeout, short enough that the abandoned
+#: (never preempted) worker thread ends soon after the test.
+HANG_S = 3.0
+
+
 def test_hung_worker_times_out_and_skips(inject):
-    inject("hang", times=99, hang_s=60.0)
+    inject("hang", times=99, hang_s=HANG_S)
+    start = time.perf_counter()
     records = run(
         workers=2, retries=0, timeout=1.5,
         failure_policy=FailurePolicy.SKIP,
     )
+    # The campaign returns without joining the still-sleeping thread.
+    assert time.perf_counter() - start < HANG_S
     assert records[VICTIM].status == "skipped"
     assert records[VICTIM].cd_flips == {}
     for i, record in enumerate(records):
@@ -168,9 +142,21 @@ def test_hung_worker_times_out_and_skips(inject):
 
 
 def test_hung_worker_times_out_and_raises(inject):
-    inject("hang", times=99, hang_s=60.0)
+    inject("hang", times=99, hang_s=HANG_S)
     with pytest.raises(UnitExecutionError, match="timed out"):
         run(workers=2, retries=0, timeout=1.5)
+
+
+def test_late_unit_is_charged_and_resubmitted(inject):
+    """A timed-out attempt counts against the retry budget; the
+    resubmitted unit then completes with the fault-free record."""
+    inject("hang", times=1, hang_s=HANG_S)
+    trace = RunTrace()
+    records = run(workers=2, retries=1, retry_backoff=0.0, timeout=1.5, trace=trace)
+    assert records == list(baseline())
+    (victim,) = [r for r in trace.records if r.subarray == VICTIM]
+    assert victim.attempts == 2
+    assert victim.source == "computed"
 
 
 # ---------------------------------------------------------------------------

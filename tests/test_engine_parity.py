@@ -9,6 +9,7 @@ configs, cold and warm.
 import pytest
 
 from repro.core import (
+    EXECUTORS,
     QUICK_SCALE,
     WORST_CASE,
     Campaign,
@@ -37,11 +38,11 @@ def _serial(config):
 
 
 @pytest.mark.engine
-@pytest.mark.parametrize("executor", ("threads", "processes"))
+@pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("config", CONFIGS, ids=("worst-case", "alt"))
 def test_parallel_cached_engine_matches_serial(tmp_path, config, executor):
-    """Both pool backends — GIL-releasing threads and shared-memory
-    processes — must be bit-identical to the serial walk."""
+    """Both executors — the GIL-releasing thread pool and in-process
+    serial — must be bit-identical to the serial walk."""
     serial_records = _serial(config)
     cache = OutcomeCache(tmp_path)
     with CharacterizationEngine(

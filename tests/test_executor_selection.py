@@ -26,7 +26,7 @@ from repro.core import (
 # ---------------------------------------------------------------------------
 
 def test_argument_beats_environment(monkeypatch):
-    monkeypatch.setenv(EXECUTOR_ENV, "processes")
+    monkeypatch.setenv(EXECUTOR_ENV, "threads")
     assert resolve_executor("serial") == "serial"
 
 
@@ -49,6 +49,23 @@ def test_unknown_executor_rejected(monkeypatch):
         resolve_executor(None)
 
 
+def test_only_threads_and_serial_remain():
+    assert EXECUTORS == ("threads", "serial")
+
+
+def test_processes_executor_rejected_with_valid_choices(monkeypatch):
+    """The removed process-pool backend is an unknown name everywhere."""
+    monkeypatch.delenv(EXECUTOR_ENV, raising=False)
+    expected = r"unknown executor 'processes'; expected one of \['serial', 'threads'\]"
+    with pytest.raises(ValueError, match=expected):
+        CharacterizationEngine(scale=QUICK_SCALE, executor="processes")
+    monkeypatch.setenv(EXECUTOR_ENV, "processes")
+    with pytest.raises(ValueError, match=expected):
+        resolve_executor(None)
+    with pytest.raises(ValueError, match=expected):
+        CharacterizationEngine(scale=QUICK_SCALE)
+
+
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_engine_resolves_explicit_executor(monkeypatch, executor):
     monkeypatch.setenv(EXECUTOR_ENV, "serial" if executor != "serial" else "threads")
@@ -57,12 +74,12 @@ def test_engine_resolves_explicit_executor(monkeypatch, executor):
 
 
 def test_engine_resolves_environment(monkeypatch):
-    monkeypatch.setenv(EXECUTOR_ENV, "processes")
-    assert CharacterizationEngine(scale=QUICK_SCALE).executor == "processes"
+    monkeypatch.setenv(EXECUTOR_ENV, "serial")
+    assert CharacterizationEngine(scale=QUICK_SCALE).executor == "serial"
 
 
 def test_campaign_passes_executor_to_engine(monkeypatch):
-    monkeypatch.setenv(EXECUTOR_ENV, "processes")
+    monkeypatch.setenv(EXECUTOR_ENV, "threads")
     campaign = Campaign(scale=QUICK_SCALE, executor="serial")
     assert campaign._delegate_to_engine()
     assert campaign.engine().executor == "serial"
@@ -70,7 +87,7 @@ def test_campaign_passes_executor_to_engine(monkeypatch):
 
 def test_campaign_without_executor_keeps_serial_path(monkeypatch):
     """An unset executor must not push a plain campaign onto the engine."""
-    monkeypatch.setenv(EXECUTOR_ENV, "processes")
+    monkeypatch.setenv(EXECUTOR_ENV, "threads")
     assert not Campaign(scale=QUICK_SCALE)._delegate_to_engine()
 
 
@@ -107,7 +124,7 @@ CHARACTERIZE = ("characterize", "S0", "--subarrays", "2", "--rows", "64",
 
 def test_cli_executor_flag_beats_environment(capsys, monkeypatch,
                                              recorded_engines):
-    monkeypatch.setenv(EXECUTOR_ENV, "processes")
+    monkeypatch.setenv(EXECUTOR_ENV, "threads")
     executor = cli_executor(capsys, recorded_engines, *CHARACTERIZE,
                             "--executor", "serial")
     assert executor == "serial"
@@ -127,3 +144,12 @@ def test_cli_default_executor_is_threads(capsys, monkeypatch,
     monkeypatch.delenv(EXECUTOR_ENV, raising=False)
     executor = cli_executor(capsys, recorded_engines, *CHARACTERIZE, "--workers", "2")
     assert executor == DEFAULT_EXECUTOR == "threads"
+
+
+def test_cli_rejects_processes_executor(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*CHARACTERIZE, "--executor", "processes"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'processes'" in err
+    assert "'threads'" in err and "'serial'" in err

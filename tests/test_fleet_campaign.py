@@ -144,6 +144,26 @@ def test_thread_pool_width_never_changes_the_aggregate():
     assert _state_json(serial) == _state_json(threaded)
 
 
+def test_one_worker_runs_inline():
+    """``workers=1`` gains nothing from a pool: it characterizes on the
+    calling thread and matches the ``workers=0`` aggregate."""
+    spec = FleetSpec(**SPEC_KWARGS)
+    inline = FleetCampaign(spec=spec, chunk=7)
+    one = FleetCampaign(spec=spec, workers=1, chunk=7)
+    names = []
+    rates = one._rates
+
+    def recording_rates(instance):
+        names.append(threading.current_thread().name)
+        return rates(instance)
+
+    one._rates = recording_rates
+    assert inline.run().complete and one.run().complete
+    assert _state_json(inline) == _state_json(one)
+    assert names and set(names) == {threading.current_thread().name}
+    assert not any(t.name.startswith("fleet-worker") for t in threading.enumerate())
+
+
 def test_offset_shards_merge_to_the_unsharded_state():
     spec = FleetSpec(**SPEC_KWARGS)
     whole = FleetCampaign(spec=spec)

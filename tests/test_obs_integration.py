@@ -18,7 +18,7 @@ from repro.chip.catalog import get_module
 from repro.chip.geometry import BankGeometry
 from repro.core.campaign import Campaign, CampaignScale, QUICK_SCALE
 from repro.core.config import WORST_CASE
-from repro.core.engine import CharacterizationEngine
+from repro.core.engine import EXECUTORS, CharacterizationEngine
 from repro.core.telemetry import RunTrace, UnitTrace
 
 INTERVALS = (0.512, 16.0)
@@ -109,7 +109,7 @@ def test_engine_and_serial_paths_report_identical_flip_totals():
 
 
 @pytest.mark.engine
-@pytest.mark.parametrize("executor", ("threads", "processes"))
+@pytest.mark.parametrize("executor", EXECUTORS)
 def test_worker_spans_nest_under_campaign_span(executor):
     obs.enable()
     with CharacterizationEngine(
@@ -125,18 +125,12 @@ def test_worker_spans_nest_under_campaign_span(executor):
     unit_spans = by_name["engine.unit"]
     assert len(unit_spans) == len(QUICK_SCALE.subarray_indices())
     for unit_span in unit_spans:
+        # Thread workers share the campaign process: their spans are
+        # native children (the engine copies the submitting context into
+        # each task), in the campaign's trace.
         assert unit_span["parent_id"] == campaign_span["span_id"]
-        if executor == "processes":
-            # Process workers ship their spans home in the result
-            # payload; the campaign process adopts and re-roots them.
-            assert unit_span["adopted"] is True
-            assert unit_span["pid"] != campaign_span["pid"]
-        else:
-            # Thread workers share the campaign process: their spans are
-            # native children (the engine copies the submitting context
-            # into each task), never adopted orphans.
-            assert "adopted" not in unit_span
-            assert unit_span["pid"] == campaign_span["pid"]
+        assert unit_span["trace_id"] == campaign_span["trace_id"]
+        assert unit_span["pid"] == campaign_span["pid"]
 
 
 def test_bender_command_counts_match_program(tiny_geometry):

@@ -129,8 +129,8 @@ def _hammer_counter(counter, n):
 
 
 def _pool_increment(n: int) -> dict:
-    """Run in a worker process: bump the shared-name counter and return the
-    snapshot delta, exactly as engine pool workers do."""
+    """Run in a worker process: bump the shared-name counter and return
+    the registry snapshot for the parent to merge."""
     from repro import obs as worker_obs
 
     worker_obs.enable()
@@ -138,7 +138,7 @@ def _pool_increment(n: int) -> dict:
     counter = worker_obs.counter("concurrency_total")
     for _ in range(n):
         counter.inc()
-    return worker_obs.pool_worker_payload()
+    return worker_obs.REGISTRY.snapshot()
 
 
 def test_one_counter_from_eight_threads_and_two_processes():
@@ -155,11 +155,11 @@ def test_one_counter_from_eight_threads_and_two_processes():
     for t in threads:
         t.start()
     with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-        payloads = list(pool.map(_pool_increment, [per_process] * 2))
+        images = list(pool.map(_pool_increment, [per_process] * 2))
     for t in threads:
         t.join()
-    for payload in payloads:
-        obs.merge_payload(payload)
+    for image in images:
+        obs.merge_snapshot(image)
 
     assert counter.value == 8 * per_thread + 2 * per_process
 
